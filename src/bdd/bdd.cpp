@@ -209,35 +209,46 @@ Bdd Bdd::restrict_var(std::uint32_t var, bool value) const {
 
 std::size_t Bdd::dag_size() const {
   if (mgr_ == nullptr) return 0;
-  std::unordered_set<std::uint32_t> seen;
+  auto& c = mgr_->ctx();
+  const std::uint32_t epoch = c.begin_walk();
+  std::size_t size = 0;
   std::vector<std::uint32_t> stack{idx_};
   while (!stack.empty()) {
     const std::uint32_t n = stack.back();
     stack.pop_back();
-    if (!seen.insert(n).second) continue;
+    auto& m = c.mark(n);
+    if (m.epoch == epoch) continue;
+    m.epoch = epoch;
+    ++size;
     if (mgr_->level(n) != Manager::kTermVar) {
       stack.push_back(mgr_->nodes_[n].lo);
       stack.push_back(mgr_->nodes_[n].hi);
     }
   }
-  return seen.size();
+  return size;
 }
 
 std::vector<std::uint32_t> Bdd::support() const {
   if (mgr_ == nullptr) return {};
-  std::unordered_set<std::uint32_t> seen;
-  std::unordered_set<std::uint32_t> vars;
+  auto& c = mgr_->ctx();
+  const std::uint32_t epoch = c.begin_walk();
+  std::vector<std::uint32_t> out;
   std::vector<std::uint32_t> stack{idx_};
   while (!stack.empty()) {
     const std::uint32_t n = stack.back();
     stack.pop_back();
-    if (!seen.insert(n).second) continue;
+    auto& m = c.mark(n);
+    if (m.epoch == epoch) continue;
+    m.epoch = epoch;
     if (mgr_->level(n) == Manager::kTermVar) continue;
-    vars.insert(mgr_->nodes_[n].var);
+    const std::uint32_t v = mgr_->nodes_[n].var;
+    if (auto& seen = c.var_mark(v); seen != epoch) {
+      seen = epoch;
+      out.push_back(v);
+    }
     stack.push_back(mgr_->nodes_[n].lo);
     stack.push_back(mgr_->nodes_[n].hi);
   }
-  std::vector<std::uint32_t> out(vars.begin(), vars.end());
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -321,28 +332,37 @@ bool Bdd::eval(const std::vector<bool>& assignment) const {
   return n == Manager::kTrue;
 }
 
-std::string Bdd::cube_string(const std::vector<std::string>& names) const {
-  if (mgr_ == nullptr) return "<null>";
-  if (is_true()) return "true";
-  if (is_false()) return "false";
-  std::string out;
+std::optional<std::vector<Bdd::Literal>> Bdd::cube_literals() const {
+  if (mgr_ == nullptr) throw std::logic_error("Bdd: operation on null handle");
+  if (is_false()) return std::nullopt;
+  std::vector<Literal> out;
   std::uint32_t n = idx_;
   while (mgr_->level(n) != Manager::kTermVar) {
     const auto& nd = mgr_->nodes_[n];
     const bool positive = nd.lo == Manager::kFalse;
-    const bool negative = nd.hi == Manager::kFalse;
-    if (!positive && !negative) {
-      throw std::invalid_argument("Bdd::cube_string: not a cube");
-    }
+    if (!positive && nd.hi != Manager::kFalse) return std::nullopt;
+    out.push_back(Literal{nd.var, positive});
+    n = positive ? nd.hi : nd.lo;
+  }
+  return out;
+}
+
+std::string Bdd::cube_string(const std::vector<std::string>& names) const {
+  if (mgr_ == nullptr) return "<null>";
+  if (is_true()) return "true";
+  if (is_false()) return "false";
+  const auto literals = cube_literals();
+  if (!literals) throw std::invalid_argument("Bdd::cube_string: not a cube");
+  std::string out;
+  for (const Literal& lit : *literals) {
     if (!out.empty()) out += " & ";
-    if (negative) out += '!';
-    if (nd.var < names.size() && !names[nd.var].empty()) {
-      out += names[nd.var];
+    if (!lit.positive) out += '!';
+    if (lit.var < names.size() && !names[lit.var].empty()) {
+      out += names[lit.var];
     } else {
       out += 'v';
-      out += std::to_string(nd.var);
+      out += std::to_string(lit.var);
     }
-    n = positive ? nd.hi : nd.lo;
   }
   return out;
 }
@@ -2141,11 +2161,14 @@ Bdd Manager::rename(const Bdd& f, const std::vector<std::uint32_t>& map) {
     }
   }
   return run_apply(ApplyOp::kRename, [&] {
-    std::unordered_map<std::uint32_t, std::uint32_t> memo;
+    // The memo lives in the calling thread's walk scratch, started afresh
+    // inside the kernel closure so an exhaustion retry gets a clean slate.
+    ThreadCtx& c = ctx();
+    const std::uint32_t epoch = c.begin_walk();
     auto rec = [&](auto&& self, std::uint32_t n) -> std::uint32_t {
       const Frame frame(*this);
       if (level(n) == kTermVar) return n;
-      if (const auto it = memo.find(n); it != memo.end()) return it->second;
+      if (const auto& m = c.mark(n); m.epoch == epoch) return m.value;
       // Copy only the immutable fields: a whole-Node copy would read the
       // refs word (CASed by sibling workers) and the next link (rewritten
       // under stripe locks) -- a data race under a parallel region.  Copy
@@ -2154,7 +2177,7 @@ Bdd Manager::rename(const Bdd& f, const std::vector<std::uint32_t>& map) {
       const std::uint32_t nlo = nodes_[n].lo;
       const std::uint32_t nhi = nodes_[n].hi;
       const std::uint32_t r = mk(map[nvar], self(self, nlo), self(self, nhi));
-      memo.emplace(n, r);
+      c.mark(n) = ThreadCtx::Mark{epoch, r};
       return r;
     };
     return rec(rec, f.idx_);

@@ -43,6 +43,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstddef>
@@ -52,6 +53,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <stdexcept>
 #include <string>
@@ -167,6 +169,16 @@ class Bdd {
   [[nodiscard]] double sat_count(std::uint32_t num_vars) const;
   /// Evaluate under a total assignment (indexed by variable).
   [[nodiscard]] bool eval(const std::vector<bool>& assignment) const;
+
+  /// One literal of a cube: variable `var`, negated unless `positive`.
+  struct Literal {
+    std::uint32_t var;
+    bool positive;
+  };
+  /// The literals of this function when it is a cube (a conjunction of
+  /// literals; true is the empty cube, false is no cube), top of the
+  /// current order first; std::nullopt otherwise.
+  [[nodiscard]] std::optional<std::vector<Literal>> cube_literals() const;
 
   /// Render a single cube (conjunction of literals) as e.g. "x0 & !x2".
   /// Requires this BDD to be a cube; names may be empty (then "v<i>").
@@ -612,6 +624,43 @@ class Manager {
     std::size_t node_limit_hits = 0;
     std::size_t alloc_failures = 0;
     std::array<std::uint64_t, kNumApplyOps> apply_calls{};
+    // Scratch for DAG walks (Bdd::support, Bdd::dag_size, Manager::rename):
+    // node n is visited in the current walk iff marks[n].epoch == epoch,
+    // and rename memoises its result for n in marks[n].value; support()
+    // marks variable v in var_marks[v] the same way.  Bumping the epoch
+    // clears every mark at once.  Both vectors grow on demand, so a walk
+    // never reads the node array's size (which worker threads may be
+    // extending inside a parallel region).
+    struct Mark {
+      std::uint32_t epoch = 0;
+      std::uint32_t value = 0;
+    };
+    std::vector<Mark> marks;
+    std::vector<std::uint32_t> var_marks;
+    std::uint32_t epoch = 0;
+
+    /// Start a walk: returns the epoch that marks what it visits.
+    std::uint32_t begin_walk() {
+      if (++epoch == 0) {  // wrapped: forget every stale mark
+        std::fill(marks.begin(), marks.end(), Mark{});
+        std::fill(var_marks.begin(), var_marks.end(), 0);
+        epoch = 1;
+      }
+      return epoch;
+    }
+    /// The scratch slot of node n (valid until the next mark() call).
+    Mark& mark(std::uint32_t n) { return grown(marks, n)[n]; }
+    /// The scratch slot of variable v.
+    std::uint32_t& var_mark(std::uint32_t v) { return grown(var_marks, v)[v]; }
+
+   private:
+    template <typename T>
+    static std::vector<T>& grown(std::vector<T>& v, std::uint32_t i) {
+      if (i >= v.size()) {
+        v.resize(std::max<std::size_t>(std::size_t{i} + 1, 2 * v.size()));
+      }
+      return v;
+    }
   };
 
   /// The calling thread's context: its bound worker context inside a

@@ -39,6 +39,9 @@ class LoopScope {
     entry.iteration = iteration;
   }
 
+  /// From now on the loop's frontier carries its iterate only.
+  void drop_rings() { checker_.live_loops_.back().rings = nullptr; }
+
   ~LoopScope() {
     auto& entry = checker_.live_loops_.back();
     if (std::uncaught_exceptions() > uncaught_ && !entry.z.is_null()) {
@@ -257,6 +260,7 @@ void Checker::prepare(const std::vector<bdd::Bdd>& seeds) {
     // each check must run entirely under one reduction.
     memo_.clear();
     faireg_memo_.clear();
+    eu_memo_.clear();
     fair_ = bdd::Bdd();
   }
 }
@@ -436,16 +440,29 @@ bdd::Bdd Checker::eu_raw(const bdd::Bdd& f, const bdd::Bdd& g) {
   }
 }
 
-std::vector<bdd::Bdd> Checker::eu_rings(const bdd::Bdd& f, const bdd::Bdd& g) {
+bool Checker::run_eu_rings(const char* loop, const bdd::Bdd& f,
+                           const bdd::Bdd& g, std::vector<bdd::Bdd>& rings) {
   const bool diag_on = diag::enabled();
-  std::vector<bdd::Bdd> rings{g};
+  rings.assign(1, g);
+  bool complete = true;
+  bool resumed_rings = false;
   std::uint64_t iteration = 0;
-  if (const auto seed = take_frontier("eu_rings", {f, g})) {
-    rings = seed->rings;
+  if (const auto seed = take_frontier(loop, {f, g})) {
+    // A frontier carries the whole sequence when the interrupted loop kept
+    // one.  A z-only frontier (written by eu_raw, or by a verdict EU from a
+    // snapshot that predates ring reuse) resumes the fixpoint but not the
+    // sequence below it.
+    if (!seed->rings.empty() && seed->rings.back() == seed->z) {
+      rings = seed->rings;
+      resumed_rings = true;
+    } else {
+      rings.assign(1, seed->z);
+      complete = false;
+    }
     iteration = seed->iteration;
   }
-  LoopScope scope(*this, "eu_rings", {f, g}, &rings);
-  bdd::FixpointGuard fixpoint_guard(ts_.manager(), "eu_rings");
+  LoopScope scope(*this, loop, {f, g}, complete ? &rings : nullptr);
+  bdd::FixpointGuard fixpoint_guard(ts_.manager(), loop);
   for (;;) {
     scope.publish(rings.back(), iteration);
     fixpoint_guard.tick();
@@ -453,9 +470,45 @@ std::vector<bdd::Bdd> Checker::eu_rings(const bdd::Bdd& f, const bdd::Bdd& g) {
     ++iteration;
     if (diag_on) diag::Registry::global().add("fixpoint.eu_iterations");
     const bdd::Bdd znew = g | (f & ex_raw(rings.back()));
-    if (znew == rings.back()) return rings;
+    if (resumed_rings) {
+      // The saved rings may have been computed under other evaluation
+      // settings than this run's: a care set whose reachability pass lost
+      // the budget race falls back to exact sweeps, which keep unreachable
+      // states the care-set sweeps drop.  Such a sequence stops increasing
+      // at the resume point; keep the fixpoint, not the sequence.
+      resumed_rings = false;
+      if (!rings.back().implies(znew)) {
+        complete = false;
+        scope.drop_rings();
+      }
+    }
+    if (znew == rings.back()) return complete;
     rings.push_back(znew);
   }
+}
+
+const std::vector<bdd::Bdd>* Checker::find_eu_rings(const bdd::Bdd& f,
+                                                    const bdd::Bdd& g) {
+  for (const EURingsEntry& entry : eu_memo_) {
+    if (entry.f == f && entry.g == g) {
+      ++stats_.eu_reuse_hits;
+      if (diag::enabled()) diag::Registry::global().add("checker.eu_reuse");
+      return &entry.rings;
+    }
+  }
+  return nullptr;
+}
+
+std::vector<bdd::Bdd> Checker::eu_rings(const bdd::Bdd& f, const bdd::Bdd& g) {
+  if (const auto* rings = find_eu_rings(f, g)) return *rings;
+  std::vector<bdd::Bdd> rings;
+  if (!run_eu_rings("eu_rings", f, g, rings)) {
+    // Resumed from a frontier without usable rings: the witness needs the
+    // whole sequence, so rebuild it from the base case (the frontier is
+    // spent).
+    (void)run_eu_rings("eu_rings", f, g, rings);
+  }
+  return rings;
 }
 
 bdd::Bdd Checker::eg_raw(const bdd::Bdd& f) {
@@ -505,7 +558,19 @@ bdd::Bdd Checker::ex(const bdd::Bdd& f) {
 }
 
 bdd::Bdd Checker::eu(const bdd::Bdd& f, const bdd::Bdd& g) {
-  return eu_raw(f, g & fair_states());
+  // The verdict's EU keeps its rings (guard, fault site and checkpoint
+  // name stay "eu"), so a later eu_rings() on the same operands -- the
+  // explainer's and witness generator's §6 ring walk -- and a later EU with
+  // the same operands reuse them instead of rerunning the fixpoint.
+  const bdd::Bdd target = g & fair_states();
+  if (const auto* rings = find_eu_rings(f, target)) return rings->back();
+  std::vector<bdd::Bdd> rings;
+  const bool complete = run_eu_rings("eu", f, target, rings);
+  bdd::Bdd z = rings.back();
+  if (complete && options_.memoize) {
+    eu_memo_.push_back(EURingsEntry{f, target, std::move(rings)});
+  }
+  return z;
 }
 
 bdd::Bdd Checker::eg(const bdd::Bdd& f) {

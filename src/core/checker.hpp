@@ -90,6 +90,7 @@ struct CheckStats {
   std::size_t eu_iterations = 0;    ///< least-fixpoint steps
   std::size_t eg_iterations = 0;    ///< greatest-fixpoint steps (outer, for fair EG)
   std::size_t faireg_reuse_hits = 0;  ///< FairEG results served from the memo
+  std::size_t eu_reuse_hits = 0;  ///< EU rings served from the ring memo
 };
 
 /// Result of CheckFairEG with the approximation sequences saved
@@ -212,7 +213,9 @@ class Checker {
   /// EG f by the greatest-fixpoint iteration.
   [[nodiscard]] bdd::Bdd eg_raw(const bdd::Bdd& f);
   /// The approximation sequence of E[f U g]: result[i] = states with an
-  /// f-path of length <= i to g; result.back() is the fixpoint.
+  /// f-path of length <= i to g; result.back() is the fixpoint.  Served
+  /// from the ring memo when eu() already ran this fixpoint (Section 6:
+  /// the witness walks the rings the verdict computed).
   [[nodiscard]] std::vector<bdd::Bdd> eu_rings(const bdd::Bdd& f,
                                                const bdd::Bdd& g);
 
@@ -220,7 +223,9 @@ class Checker {
 
   /// EX f under fairness: EX(f & fair).
   [[nodiscard]] bdd::Bdd ex(const bdd::Bdd& f);
-  /// E[f U g] under fairness: E[f U (g & fair)].
+  /// E[f U g] under fairness: E[f U (g & fair)].  Keeps the approximation
+  /// sequence in the ring memo (when CheckOptions::memoize is set), so
+  /// eu_rings(f, g & fair) and a repeated eu(f, g) cost no fixpoint.
   [[nodiscard]] bdd::Bdd eu(const bdd::Bdd& f, const bdd::Bdd& g);
   /// EG f under fairness (CheckFairEG).
   [[nodiscard]] bdd::Bdd eg(const bdd::Bdd& f);
@@ -312,6 +317,17 @@ class Checker {
     FairEG result;
   };
   std::vector<FairEGEntry> faireg_memo_;
+  // Ring memo keyed on the EU operand handles (f, g) -- for eu() the g is
+  // already intersected with fair: the verdict's approximation sequence,
+  // served to eu_rings() and repeated eu() calls.  Cleared with memo_ when
+  // the COI reduction changes (the relation view the rings were computed
+  // under).
+  struct EURingsEntry {
+    bdd::Bdd f;
+    bdd::Bdd g;
+    std::vector<bdd::Bdd> rings;
+  };
+  std::vector<EURingsEntry> eu_memo_;
 
   // Crash-safe checkpoint state.  Every fixpoint loop keeps one LiveLoop
   // entry on this stack, refreshed each iteration (two handle assigns);
@@ -329,6 +345,16 @@ class Checker {
   std::vector<persist::Frontier> resume_frontiers_;
   std::string pending_checkpoint_;  // written by the margin hook this check
 
+  /// The E[f U g] loop that keeps every iterate in `rings` (rings[0] = g,
+  /// rings.back() = the fixpoint), run under guard, fault-site and
+  /// checkpoint name `loop`.  Returns false when it resumed from a
+  /// ring-less frontier: the fixpoint is right, but the rings below the
+  /// resumed iterate are missing.
+  bool run_eu_rings(const char* loop, const bdd::Bdd& f, const bdd::Bdd& g,
+                    std::vector<bdd::Bdd>& rings);
+  /// The ring memo's entry for (f, g), or nullptr.
+  const std::vector<bdd::Bdd>* find_eu_rings(const bdd::Bdd& f,
+                                             const bdd::Bdd& g);
   /// Pop and return the resume frontier matching (loop, operands), if any.
   std::optional<persist::Frontier> take_frontier(
       const char* loop, const std::vector<bdd::Bdd>& operands);

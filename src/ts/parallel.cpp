@@ -65,6 +65,7 @@ void ParallelExecutor::worker_main(unsigned slot) {
       if (stop_) return;
       seen = batch_seq_;
       batch = batch_;
+      if (batch) ++batch->participants;
     }
     if (!batch) continue;
     // Hold the manager's quiescence gate (shared side) while touching the
@@ -75,6 +76,10 @@ void ParallelExecutor::worker_main(unsigned slot) {
     work_on(*batch);
     mgr_.gate_unlock_shared();
     mgr_.unbind_worker();
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (--batch->participants == 0) done_cv_.notify_all();
+    }
   }
 }
 
@@ -110,14 +115,17 @@ std::vector<bdd::Bdd> ParallelExecutor::run(
 
   {
     std::unique_lock<std::mutex> lock(mu_);
+    // Unpublish once every task is done, so no further worker takes the
+    // batch; then wait for the workers that already took it to leave.
     done_cv_.wait(lock, [&] {
       return batch->done.load(std::memory_order_acquire) == n;
     });
     batch_ = nullptr;
+    done_cv_.wait(lock, [&] { return batch->participants == 0; });
   }
-  // All workers are out of the table (done covers every task, and workers
-  // only touch the manager between claiming tasks); close the region.
-  // On an aborted region this runs the manager's recovery.
+  // No worker is inside the batch or bound to the manager any more (each
+  // one leaves only after unbinding); close the region.  On an aborted
+  // region this runs the manager's recovery.
   mgr_.parallel_region_end();
 
   // Rethrow the lowest-indexed primary failure.  WorkerCancelled entries

@@ -83,6 +83,10 @@ class ParallelExecutor {
     std::vector<std::exception_ptr> errors;
     std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> done{0};
+    // Workers that took this batch and have not yet left it (guarded by
+    // mu_).  run() returns only once this is zero: a worker can take the
+    // batch just before its last task finishes and enter work_on after.
+    std::size_t participants = 0;
   };
 
   void worker_main(unsigned slot);

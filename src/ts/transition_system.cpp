@@ -658,6 +658,19 @@ bdd::Bdd TransitionSystem::pick_state(const bdd::Bdd& set) const {
 }
 
 std::vector<bool> TransitionSystem::state_values(const bdd::Bdd& state) const {
+  // Variable v reads 1 iff state & cur(v) is satisfiable.  On a cube (every
+  // state a trace carries) that means "no negative literal on cur(v)",
+  // read straight off the cube's one path; any other set takes one apply
+  // per variable.
+  if (const auto literals = state.cube_literals()) {
+    std::vector<bool> out(names_.size(), true);
+    for (const bdd::Bdd::Literal& lit : *literals) {
+      if (lit.var % 2 == 0 && lit.var / 2 < names_.size()) {
+        out[lit.var / 2] = lit.positive;
+      }
+    }
+    return out;
+  }
   std::vector<bool> out(names_.size());
   for (VarId v = 0; v < names_.size(); ++v) {
     const bdd::Bdd with_true = state & cur(v);

@@ -266,7 +266,9 @@ class TransitionSystem {
   /// Pick one concrete state out of a nonempty set, as a full minterm
   /// over the current rail.
   [[nodiscard]] bdd::Bdd pick_state(const bdd::Bdd& set) const;
-  /// Values of all state variables in a (full-minterm) state.
+  /// Values of all state variables in a (full-minterm) state: variable v
+  /// reads 1 iff `state & cur(v)` is satisfiable (so a variable a partial
+  /// cube leaves free reads 1, and every variable of the empty set reads 0).
   [[nodiscard]] std::vector<bool> state_values(const bdd::Bdd& state) const;
   /// Human-readable rendering, e.g. "x=1 y=0"; with `diff_from`, only
   /// variables whose value changed are printed (SMV-style trace output).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <random>
+#include <set>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -332,6 +333,20 @@ TEST_F(BddTest, CubeStringRendersLiterals) {
                std::invalid_argument);
 }
 
+TEST_F(BddTest, CubeLiteralsListTheCube) {
+  const auto literals = (m.var(4) & !m.var(1)).cube_literals();
+  ASSERT_TRUE(literals.has_value());
+  ASSERT_EQ(literals->size(), 2u);
+  EXPECT_EQ((*literals)[0].var, 1u);  // top of the order first
+  EXPECT_FALSE((*literals)[0].positive);
+  EXPECT_EQ((*literals)[1].var, 4u);
+  EXPECT_TRUE((*literals)[1].positive);
+  ASSERT_TRUE(m.one().cube_literals().has_value());
+  EXPECT_TRUE(m.one().cube_literals()->empty());
+  EXPECT_FALSE(m.zero().cube_literals().has_value());
+  EXPECT_FALSE((m.var(0) | m.var(1)).cube_literals().has_value());
+}
+
 TEST_F(BddTest, NewVarExtendsTheOrder) {
   Manager local(0);
   EXPECT_EQ(local.num_vars(), 0u);
@@ -557,6 +572,128 @@ TEST_P(BddRandomProperty, AgreesWithTruthTable) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BddRandomProperty, ::testing::Range(0, 20));
+
+// ---------------------------------------------------------------------------
+// support / dag_size / rename against naive references, under the identity
+// order and under a permuted (sifted, then shuffled) order.  The kernels
+// keep their visited marks and rename's memo in per-thread scratch; the
+// references use only cofactors and ITE.
+// ---------------------------------------------------------------------------
+
+/// A random function over `vars` variables: a few random cubes xor-ed and
+/// or-ed together, so the DAGs share subgraphs.
+Bdd random_function(Manager& m, std::mt19937& rng, std::uint32_t vars) {
+  Bdd f = m.zero();
+  for (int t = 0; t < 4; ++t) {
+    Bdd cube = m.one();
+    for (std::uint32_t v = 0; v < vars; ++v) {
+      const auto choice = rng() % 4;
+      if (choice == 0) cube &= m.var(v);
+      if (choice == 1) cube &= m.nvar(v);
+    }
+    f = (rng() % 2 == 0) ? (f | cube) : (f ^ cube);
+  }
+  return f;
+}
+
+/// Semantic support: v matters iff its two cofactors differ.
+std::vector<std::uint32_t> naive_support(const Bdd& f, std::uint32_t vars) {
+  std::vector<std::uint32_t> out;
+  for (std::uint32_t v = 0; v < vars; ++v) {
+    if (f.restrict_var(v, false) != f.restrict_var(v, true)) out.push_back(v);
+  }
+  return out;
+}
+
+/// Node count of the reduced DAG: the distinct functions met by cofactoring
+/// on the topmost support variable (by level), terminals included.
+std::size_t naive_dag_size(Manager& m, const Bdd& f, std::uint32_t vars) {
+  std::set<Bdd> seen;
+  std::vector<Bdd> todo{f};
+  while (!todo.empty()) {
+    const Bdd g = todo.back();
+    todo.pop_back();
+    if (!seen.insert(g).second || g.is_constant()) continue;
+    const std::vector<std::uint32_t> sup = naive_support(g, vars);
+    const std::uint32_t top = *std::min_element(
+        sup.begin(), sup.end(), [&](std::uint32_t a, std::uint32_t b) {
+          return m.level_of_var(a) < m.level_of_var(b);
+        });
+    todo.push_back(g.restrict_var(top, false));
+    todo.push_back(g.restrict_var(top, true));
+  }
+  return seen.size();
+}
+
+/// Substitute variable map[v] for every support variable v of f by
+/// Shannon expansion (correct for any map injective on the support).
+Bdd naive_rename(Manager& m, const Bdd& f,
+                 const std::vector<std::uint32_t>& map, std::uint32_t vars) {
+  const std::vector<std::uint32_t> sup = naive_support(f, vars);
+  if (sup.empty()) return f;
+  const std::uint32_t v = sup.front();
+  return m.ite(m.var(map[v]), naive_rename(m, f.restrict_var(v, true), map, vars),
+               naive_rename(m, f.restrict_var(v, false), map, vars));
+}
+
+class WalkKernels : public ::testing::TestWithParam<bool> {};
+
+TEST_P(WalkKernels, MatchNaiveReferences) {
+  const bool permuted = GetParam();
+  constexpr std::uint32_t kVars = 10;
+  std::mt19937 rng(permuted ? 77 : 7);
+  Manager m(kVars);
+  std::vector<Bdd> pool;
+  for (int i = 0; i < 24; ++i) pool.push_back(random_function(m, rng, kVars));
+  if (permuted) {
+    ASSERT_TRUE(m.reorder());
+    for (int i = 0; i < 15; ++i) {
+      m.swap_levels(static_cast<std::uint32_t>(rng() % (kVars - 1)));
+    }
+    ASSERT_FALSE(m.identity_order());
+  }
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    SCOPED_TRACE(i);
+    const Bdd& f = pool[i];
+    const std::vector<std::uint32_t> sup = f.support();
+    EXPECT_EQ(sup, naive_support(f, kVars));
+    EXPECT_EQ(f.dag_size(), naive_dag_size(m, f, kVars));
+    if (sup.empty()) continue;
+
+    // An order-preserving target set: random distinct variables, matched
+    // to the support in level order.
+    std::vector<std::uint32_t> all(kVars);
+    for (std::uint32_t v = 0; v < kVars; ++v) all[v] = v;
+    std::shuffle(all.begin(), all.end(), rng);
+    std::vector<std::uint32_t> targets(all.begin(), all.begin() + sup.size());
+    const auto by_level = [&](std::uint32_t a, std::uint32_t b) {
+      return m.level_of_var(a) < m.level_of_var(b);
+    };
+    std::vector<std::uint32_t> sources = sup;
+    std::sort(sources.begin(), sources.end(), by_level);
+    std::sort(targets.begin(), targets.end(), by_level);
+    std::vector<std::uint32_t> map(kVars);
+    for (std::uint32_t v = 0; v < kVars; ++v) map[v] = v;
+    for (std::size_t k = 0; k < sources.size(); ++k) map[sources[k]] = targets[k];
+    const Bdd renamed = m.rename(f, map);
+    EXPECT_EQ(renamed, naive_rename(m, f, map, kVars));
+    // Renaming twice walks the scratch again with a fresh epoch.
+    EXPECT_EQ(m.rename(f, map), renamed);
+
+    // Swapping two targets breaks the order: rename must refuse it.
+    if (sources.size() >= 2) {
+      std::vector<std::uint32_t> bad = map;
+      std::swap(bad[sources[0]], bad[sources[1]]);
+      EXPECT_THROW((void)m.rename(f, bad), std::invalid_argument);
+    }
+  }
+  EXPECT_EQ(m.audit_check(), "");
+}
+
+INSTANTIATE_TEST_SUITE_P(Orders, WalkKernels, ::testing::Values(false, true),
+                         [](const auto& info) {
+                           return info.param ? "Permuted" : "Identity";
+                         });
 
 }  // namespace
 }  // namespace symcex::bdd

@@ -7,6 +7,7 @@
 #include "core/checker.hpp"
 #include "explicit/explicit_checker.hpp"
 #include "explicit/explicit_graph.hpp"
+#include "models/models.hpp"
 #include "test_util.hpp"
 #include "ts/transition_system.hpp"
 
@@ -252,6 +253,83 @@ TEST_P(ImageMethodProperty, PartitionedAndMonolithicAgree) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ImageMethodProperty, ::testing::Range(0, 8));
+
+// ---------------------------------------------------------------------------
+// Ring memo (Section 6): the verdict's EU keeps its approximation sequence.
+// ---------------------------------------------------------------------------
+
+// eu_rings is the approximation sequence of the very fixpoint eu computes,
+// whichever of the two runs first, and a memo hit returns exactly the
+// sequence a checker without the memo computes.
+TEST(EuRingMemo, RingsEndAtTheVerdictsFixpoint) {
+  for (unsigned seed = 0; seed < 8; ++seed) {
+    auto m = test::random_ts(seed, {.num_vars = 4, .num_fairness = seed % 3});
+    std::mt19937 rng(seed * 7 + 3);
+    const bdd::Bdd f = test::random_predicate(*m, rng);
+    const bdd::Bdd g = test::random_predicate(*m, rng);
+
+    Checker rings_first(*m);
+    const bdd::Bdd target = g & rings_first.fair_states();
+    const std::vector<bdd::Bdd> cold = rings_first.eu_rings(f, target);
+    EXPECT_EQ(cold.front(), target) << "seed " << seed;
+    EXPECT_EQ(cold.back(), rings_first.eu(f, g)) << "seed " << seed;
+
+    Checker verdict_first(*m);
+    const bdd::Bdd z = verdict_first.eu(f, g);
+    verdict_first.reset_stats();
+    const std::vector<bdd::Bdd> warm = verdict_first.eu_rings(f, target);
+    EXPECT_EQ(verdict_first.stats().eu_iterations, 0u) << "seed " << seed;
+    EXPECT_EQ(verdict_first.stats().eu_reuse_hits, 1u) << "seed " << seed;
+    EXPECT_EQ(warm.back(), z) << "seed " << seed;
+    EXPECT_EQ(warm, cold) << "seed " << seed;
+
+    CheckOptions no_memo;
+    no_memo.memoize = false;
+    Checker plain(*m, no_memo);
+    (void)plain.eu(f, g);
+    EXPECT_EQ(plain.eu_rings(f, target), cold) << "seed " << seed;
+    EXPECT_EQ(plain.stats().eu_reuse_hits, 0u) << "seed " << seed;
+  }
+}
+
+// A repeated EU with the same operands (EF max after AG !max) reuses the
+// first one's rings instead of iterating again.
+TEST(EuRingMemo, RepeatedEuCostsNoFixpoint) {
+  auto m = models::counter({.width = 4});
+  Checker ck(*m);
+  EXPECT_FALSE(ck.holds("AG !max"));
+  EXPECT_GT(ck.stats().eu_iterations, 0u);
+  ck.reset_stats();
+  EXPECT_TRUE(ck.holds("EF max"));
+  EXPECT_EQ(ck.stats().eu_iterations, 0u);
+  EXPECT_EQ(ck.stats().eu_reuse_hits, 1u);
+}
+
+// Rings computed under one cone-of-influence reduction are not reused
+// once the cone changes: the relation they were computed on is gone.
+TEST(EuRingMemo, DroppedWhenTheConeChanges) {
+  auto m = models::counter_bank({.banks = 3, .width = 2});
+  CheckOptions options;
+  options.coi = true;
+  Checker ck(*m, options);
+  ASSERT_TRUE(ck.holds("EF max0"));
+  ASSERT_NE(ck.reduction(), nullptr) << "EF max0 should reduce to bank 0";
+  const auto bank0_dropped = ck.reduction()->cone().dropped;
+
+  const bdd::Bdd one = m->manager().one();
+  ck.reset_stats();
+  (void)ck.eu_rings(one, *m->label("max0") & ck.fair_states());
+  EXPECT_EQ(ck.stats().eu_iterations, 0u);
+  EXPECT_EQ(ck.stats().eu_reuse_hits, 1u);
+
+  ck.prepare(ctl::parse("EF all_zero"));  // the cone grows to every bank
+  ASSERT_TRUE(ck.reduction() == nullptr ||
+              ck.reduction()->cone().dropped != bank0_dropped);
+  ck.reset_stats();
+  (void)ck.eu_rings(one, *m->label("max0") & ck.fair_states());
+  EXPECT_GT(ck.stats().eu_iterations, 0u);
+  EXPECT_EQ(ck.stats().eu_reuse_hits, 0u);
+}
 
 }  // namespace
 }  // namespace symcex::core

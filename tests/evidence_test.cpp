@@ -50,9 +50,13 @@ void write_file(const std::string& path, const std::string& content) {
 }
 
 /// Run symcex-verify on `paths`; returns the exit status with the captured
-/// stdout+stderr in *output.
+/// stdout+stderr in *output.  The log path is per test (ctest runs each
+/// case as its own process, possibly concurrently).
 int run_verify(const std::string& paths, std::string* output) {
-  const std::string log = ::testing::TempDir() + "symcex_verify.log";
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  const std::string log = ::testing::TempDir() + "symcex_verify_" +
+                          info->test_suite_name() + "_" + info->name() +
+                          ".log";
   const std::string cmd =
       std::string(SYMCEX_VERIFY_BIN) + " " + paths + " > " + log + " 2>&1";
   const int status = std::system(cmd.c_str());

@@ -2,11 +2,17 @@
 // verdict + trace for the classic specification shapes, and the
 // counterexample-is-witness-of-the-dual property on random models.
 
+#include <functional>
+#include <memory>
 #include <random>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/explain.hpp"
+#include "diag/metrics.hpp"
+#include "evidence/evidence.hpp"
 #include "models/models.hpp"
 #include "test_util.hpp"
 
@@ -224,6 +230,94 @@ TEST_P(ExplainProperty, TraceContract) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExplainProperty, ::testing::Range(0, 12));
+
+// ---------------------------------------------------------------------------
+// Section 6 ring reuse: explaining after checking walks the verdict's rings.
+// ---------------------------------------------------------------------------
+
+// Check-then-explain of AG !max: the verdict's E[true U max] fixpoint runs
+// once, in the check.  The explanation's own EU iterations are exactly
+// those a fresh explanation spends beyond that fixpoint (the cycle
+// closure and the fair extension), and none of them runs outside the
+// witness phases.
+TEST(ExplainRingReuse, CheckThenExplainAddsNoVerdictEuIterations) {
+  const bool diag_was = diag::enabled();
+  diag::set_enabled(true);
+  auto m = models::counter({.width = 5});
+
+  Checker fresh_checker(*m);
+  Explainer fresh(fresh_checker);
+  const Explanation fresh_e = fresh.explain("AG !max");
+  const std::size_t fresh_iterations = fresh_checker.stats().eu_iterations;
+
+  Checker warm_checker(*m);
+  Explainer warm(warm_checker);
+  ASSERT_EQ(warm_checker.check("AG !max").verdict, Verdict::kFalse);
+  const std::size_t verdict_iterations = warm_checker.stats().eu_iterations;
+  ASSERT_GT(verdict_iterations, 0u);
+  warm_checker.reset_stats();
+  diag::Registry::global().reset();
+  const Explanation warm_e = warm.explain("AG !max");
+  const std::size_t explain_iterations = warm_checker.stats().eu_iterations;
+  const std::uint64_t unphased_iterations =
+      diag::Registry::global().counter("", "fixpoint.eu_iterations");
+  diag::Registry::global().reset();
+  diag::set_enabled(diag_was);
+
+  EXPECT_EQ(explain_iterations + verdict_iterations, fresh_iterations);
+  EXPECT_GE(warm_checker.stats().eu_reuse_hits, 1u);
+  EXPECT_EQ(unphased_iterations, 0u)
+      << "the explainer reran an EU fixpoint outside the witness phases";
+  ASSERT_TRUE(warm_e.trace.has_value());
+  ASSERT_TRUE(fresh_e.trace.has_value());
+  EXPECT_EQ(warm_e.trace->prefix, fresh_e.trace->prefix);
+  EXPECT_EQ(warm_e.trace->cycle, fresh_e.trace->cycle);
+}
+
+// A warm checker (every spec of the model checked, and explained, in turn
+// on one Checker) renders the same bundle bytes as a fresh checker per
+// spec: the reused rings are the rings a fresh run computes.
+TEST(ExplainRingReuse, WarmCheckerGivesFreshBundleBytes) {
+  struct Case {
+    const char* name;
+    std::function<std::unique_ptr<ts::TransitionSystem>()> build;
+    std::vector<std::string> specs;
+  };
+  const std::vector<Case> cases = {
+      {"counter", [] { return models::counter({.width = 4}); },
+       {"AG !max", "EF max", "AG EF zero", "E [!max U max]"}},
+      {"seitz_arbiter", [] { return models::seitz_arbiter(); },
+       {"AG (r1 -> AF a1)", "EF a1", "AG !(g1 & g2)"}},
+      {"scc_chain",
+       [] { return models::scc_chain({.chain_len = 5, .cycle_len = 3}); },
+       {"EG TRUE", "AF in_cycle", "EF in_cycle"}},
+      {"philosophers", [] { return models::dining_philosophers({.count = 3}); },
+       {"AG (hungry0 -> AF eat0)", "EF eat0", "EF (eat0 & EF eat1)"}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto warm_system = c.build();
+    Checker warm_checker(*warm_system);
+    Explainer warm(warm_checker);
+    for (const std::string& spec : c.specs) {
+      SCOPED_TRACE(spec);
+      (void)warm_checker.check(spec);
+      const std::string warm_json =
+          evidence::from_explanation(*warm_system, c.name, spec,
+                                     warm.explain(spec))
+              .to_json();
+      auto fresh_system = c.build();
+      Checker fresh_checker(*fresh_system);
+      Explainer fresh(fresh_checker);
+      const std::string fresh_json =
+          evidence::from_explanation(*fresh_system, c.name, spec,
+                                     fresh.explain(spec))
+              .to_json();
+      EXPECT_EQ(warm_json, fresh_json);
+    }
+    EXPECT_GT(warm_checker.stats().eu_reuse_hits, 0u);
+  }
+}
 
 }  // namespace
 }  // namespace symcex::core

@@ -22,10 +22,14 @@
 // checkpoint written by a parallel run resumes -- in parallel -- to the
 // sequential baseline's bytes.
 
+#include <array>
+#include <atomic>
+#include <cstddef>
 #include <functional>
 #include <memory>
 #include <string>
 #include <sys/stat.h>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -39,6 +43,7 @@
 #include "guard/fault.hpp"
 #include "guard/guard.hpp"
 #include "models/models.hpp"
+#include "ts/parallel.hpp"
 #include "ts/transition_system.hpp"
 
 namespace symcex {
@@ -329,6 +334,43 @@ TEST(ParallelCrossMode, CheckpointResumeRoundTripsUnderThreads) {
   EXPECT_EQ(resumed_json, baseline_json)
       << "parallel resume drifted from the sequential baseline";
   EXPECT_EQ(resumed.system->manager().audit_check(), "");
+}
+
+// run() must not return while a worker that took the batch is still on
+// its way into it: such a worker reads the caller's task vector, which
+// the caller may destroy or refill as soon as run() returns.  The caller
+// here reuses one task vector whose size alternates between rounds, so a
+// late worker from a short round would find the next, longer round's
+// tasks and run one of them outside any batch: that task's call count
+// reaches two (or the stray write past the old batch's result vector
+// crashes the process).
+TEST(ParallelExecutor, RunReturnsOnlyAfterEveryWorkerLeftTheBatch) {
+  bdd::Manager mgr(2);
+  // More workers than cores: a worker is then often preempted between
+  // taking the batch and entering it, which opens the window.
+  ts::ParallelExecutor exec(mgr, 16);
+  std::vector<std::function<bdd::Bdd()>> tasks;
+  constexpr std::size_t kMaxTasks = 64;
+  std::array<std::atomic<int>, kMaxTasks> calls{};
+  for (int round = 0; round < 20000; ++round) {
+    const std::size_t n = round % 2 == 0 ? 2 : kMaxTasks;
+    for (auto& c : calls) c.store(0);
+    tasks.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+      tasks.push_back([&calls, i] {
+        calls[i].fetch_add(1);
+        std::this_thread::yield();
+        return bdd::Bdd();
+      });
+    }
+    const std::vector<bdd::Bdd> results = exec.run(tasks);
+    ASSERT_EQ(results.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(calls[i].load(), 1) << "round " << round << ", task " << i;
+    }
+  }
+  EXPECT_FALSE(mgr.in_parallel_region());
+  EXPECT_EQ(mgr.audit_check(), "");
 }
 
 }  // namespace

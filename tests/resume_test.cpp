@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include "certify/certify.hpp"
 #include "core/checker.hpp"
 #include "core/explain.hpp"
 #include "ctl/formula.hpp"
@@ -34,6 +35,15 @@
 
 namespace symcex {
 namespace {
+
+class ScopedCertify {
+ public:
+  ScopedCertify() : old_(certify::enabled()) { certify::set_enabled(true); }
+  ~ScopedCertify() { certify::set_enabled(old_); }
+
+ private:
+  bool old_;
+};
 
 struct FaultGuard {
   explicit FaultGuard(const std::string& spec) {
@@ -155,6 +165,19 @@ const std::vector<MatrixCase> kMatrix = {
 
 TEST(ResumeMatrix, EveryBundledModelResumesByteIdentical) {
   for (const MatrixCase& c : kMatrix) run_case(c);
+}
+
+// The care-set cases arm the reachability fixpoint too, so the interrupted
+// run's care set falls back to exact sweeps and its checkpointed EU rings
+// keep unreachable states that the resumed run's care-set sweeps drop.
+// Certification makes the witness generator check every ring chain it
+// walks for monotonicity: a resumed verdict EU that memoised the mixed
+// sequence fails here.
+TEST(ResumeMatrix, CareFallbackRingsAreNotReusedOnResume) {
+  ScopedCertify certify_every_ring_chain;
+  for (const MatrixCase& c : kMatrix) {
+    if (c.care) run_case(c);
+  }
 }
 
 // Varying the interruption point must not vary the result: the same case

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "test_util.hpp"
 #include "ts/field.hpp"
 #include "ts/transition_system.hpp"
 
@@ -108,6 +109,52 @@ TEST_F(CounterTs, PickStateAndValues) {
   EXPECT_EQ(m_.state_string(state(5)), "b.0=1 b.1=0 b.2=1");
   EXPECT_EQ(m_.state_string(state(5), state(5)), "(unchanged)");
   EXPECT_EQ(m_.state_string(state(4), state(5)), "b.0=0");
+}
+
+// state_values decodes a cube straight off its one path; the definition
+// it must keep is "v reads 1 iff state & cur(v) is satisfiable", which
+// every other set still evaluates with one apply per variable.
+TEST(StateValues, CubeDecodeMatchesTheApplyDefinition) {
+  const auto by_apply = [](const TransitionSystem& m, const bdd::Bdd& s) {
+    std::vector<bool> out(m.num_state_vars());
+    for (VarId v = 0; v < m.num_state_vars(); ++v) {
+      out[v] = !(s & m.cur(v)).is_false();
+    }
+    return out;
+  };
+  for (unsigned seed = 0; seed < 6; ++seed) {
+    auto m = test::random_ts(seed, {.num_vars = 5});
+    std::mt19937 rng(seed + 101);
+    std::vector<bdd::Bdd> sets{m->manager().one(), m->manager().zero(),
+                               m->init()};
+    for (int i = 0; i < 20; ++i) {
+      const bdd::Bdd any = test::random_predicate(*m, rng);
+      if (!any.is_false()) sets.push_back(m->pick_state(any));  // a state
+      sets.push_back(any);  // usually not a cube
+      // A partial cube mixing both rails: free variables read 1.
+      bdd::Bdd cube = m->manager().one();
+      for (VarId v = 0; v < m->num_state_vars(); ++v) {
+        switch (rng() % 4) {
+          case 0:
+            cube &= m->cur(v);
+            break;
+          case 1:
+            cube &= !m->cur(v);
+            break;
+          case 2:
+            cube &= (rng() % 2 == 0) ? m->next(v) : !m->next(v);
+            break;
+          default:
+            break;  // free: reads 1
+        }
+      }
+      sets.push_back(cube);
+    }
+    for (std::size_t i = 0; i < sets.size(); ++i) {
+      EXPECT_EQ(m->state_values(sets[i]), by_apply(*m, sets[i]))
+          << "seed " << seed << ", set " << i;
+    }
+  }
 }
 
 TEST_F(CounterTs, TotalityCheck) {
