@@ -155,6 +155,20 @@ Bdd Bdd::operator^(const Bdd& g) const {
                          [&] { return mgr_->xor_rec(idx_, g.idx_); });
 }
 
+bool Bdd::implies(const Bdd& g) const {
+  if (mgr_ == nullptr) throw std::logic_error("Bdd: operation on null handle");
+  mgr_->check_mine(g, "implies");
+  return mgr_->run_query("implies",
+                         [&] { return mgr_->implies_rec(idx_, g.idx_); });
+}
+
+bool Bdd::intersects(const Bdd& g) const {
+  if (mgr_ == nullptr) throw std::logic_error("Bdd: operation on null handle");
+  mgr_->check_mine(g, "intersects");
+  return mgr_->run_query("intersects",
+                         [&] { return mgr_->intersects_rec(idx_, g.idx_); });
+}
+
 Bdd Bdd::exists(const Bdd& cube) const {
   if (mgr_ == nullptr) throw std::logic_error("Bdd: operation on null handle");
   mgr_->check_mine(cube, "exists");
@@ -1387,9 +1401,14 @@ std::string Manager::audit_check() const {
     for (std::size_t slot = 0; slot < c->cache.size(); ++slot) {
       const CacheEntry& e = c->cache[slot];
       if (!e.valid) continue;
-      if (e.op < kOpNot || e.op > kOpCompose) {
+      if (e.op < kOpNot || e.op > kOpImplies) {
         return fail("cache slot " + std::to_string(slot) +
                     " holds unknown op " + std::to_string(e.op));
+      }
+      const bool query = e.op == kOpIntersects || e.op == kOpImplies;
+      if (query && e.result != kTrue && e.result != kFalse) {
+        return fail("cache slot " + std::to_string(slot) + " (op " +
+                    std::to_string(e.op) + ") holds a non-boolean answer");
       }
       // Which operand words are node indices (kOpCompose's h is a variable).
       const bool g_is_node = e.op != kOpNot;
@@ -1398,6 +1417,21 @@ std::string Manager::audit_check() const {
           (g_is_node && !is_live(e.g)) || (h_is_node && !is_live(e.h))) {
         return fail("cache slot " + std::to_string(slot) +
                     " references a dead or out-of-bounds node");
+      }
+      if (query && revalidated < kSampleLimit) {
+        // A sample in f & g proves an intersection; one in f & !g refutes
+        // an implication.  (The converse needs more than samples.)
+        ++revalidated;
+        const bool intersects = e.op == kOpIntersects;
+        for (const auto& a : samples) {
+          const bool witness =
+              eval_raw(e.f, a) && eval_raw(e.g, a) == intersects;
+          if (witness && (e.result == kTrue) != intersects) {
+            return fail("cache slot " + std::to_string(slot) + " (op " +
+                        std::to_string(e.op) +
+                        ") fails semantic revalidation");
+          }
+        }
       }
       if (revalidated < kSampleLimit &&
           (e.op == kOpNot || e.op == kOpAnd || e.op == kOpOr ||
@@ -1753,6 +1787,28 @@ Bdd Manager::run_apply(ApplyOp op, Kernel&& kernel) {
   }
 }
 
+template <typename Kernel>
+bool Manager::run_query(const char* what, Kernel&& kernel) {
+  const bool worker = concurrent_.load(std::memory_order_relaxed);
+  try {
+    if (deadline_ns_ != 0) check_deadline(what);
+    // The same fault site as run_apply: the query replaces what used to
+    // be a top-level apply.
+    if (guard::fault_fire(guard::FaultKind::kDeadline, "apply")) {
+      throw guard::DeadlineExceeded(std::string(what) + ": injected deadline",
+                                    budget_spent());
+    }
+    return kernel();
+  } catch (...) {
+    if (worker) {
+      region_abort_.store(true, std::memory_order_relaxed);
+    } else {
+      ++stats_.budget_aborts;
+    }
+    throw;
+  }
+}
+
 void FixpointGuard::tick() {
   ++iterations_;
   mgr_.checkpoint(name_);
@@ -2015,6 +2071,41 @@ std::uint32_t Manager::restrict_min_rec(std::uint32_t f, std::uint32_t c) {
     }
   }
   cache_put(kOpRestrictMin, f, c, 0, r);
+  return r;
+}
+
+Manager::Cofactors Manager::top_cofactors(std::uint32_t f,
+                                          std::uint32_t g) const {
+  const std::uint32_t tv = level2var_[std::min(level(f), level(g))];
+  const Node& nf = nodes_[f];
+  const Node& ng = nodes_[g];
+  return {nf.var == tv ? nf.lo : f, nf.var == tv ? nf.hi : f,
+          ng.var == tv ? ng.lo : g, ng.var == tv ? ng.hi : g};
+}
+
+bool Manager::intersects_rec(std::uint32_t f, std::uint32_t g) {
+  const Frame frame(*this);
+  if (f == kFalse || g == kFalse) return false;
+  if (f == kTrue || g == kTrue || f == g) return true;
+  if (f > g) std::swap(f, g);  // commutative: normalize for the cache
+  std::uint32_t cached;
+  if (cache_get(kOpIntersects, f, g, 0, cached)) return cached == kTrue;
+  const auto [f0, f1, g0, g1] = top_cofactors(f, g);
+  const bool r = intersects_rec(f0, g0) || intersects_rec(f1, g1);
+  cache_put(kOpIntersects, f, g, 0, r ? kTrue : kFalse);
+  return r;
+}
+
+bool Manager::implies_rec(std::uint32_t f, std::uint32_t g) {
+  const Frame frame(*this);
+  if (f == kFalse || g == kTrue || f == g) return true;
+  // Canonicity: a non-constant function is neither a tautology nor empty.
+  if (f == kTrue || g == kFalse) return false;
+  std::uint32_t cached;
+  if (cache_get(kOpImplies, f, g, 0, cached)) return cached == kTrue;
+  const auto [f0, f1, g0, g1] = top_cofactors(f, g);
+  const bool r = implies_rec(f0, g0) && implies_rec(f1, g1);
+  cache_put(kOpImplies, f, g, 0, r ? kTrue : kFalse);
   return r;
 }
 

@@ -126,15 +126,14 @@ class Bdd {
   Bdd& operator-=(const Bdd& g) { return *this = *this - g; }
 
   /// Logical implication test: does this function imply g everywhere?
-  [[nodiscard]] bool implies(const Bdd& g) const {
-    return (*this - g).is_false();
-  }
+  /// An early-exit walk of both DAGs that builds no node (the answer is
+  /// (*this - g).is_false() without constructing the difference).
+  [[nodiscard]] bool implies(const Bdd& g) const;
   /// Set view: is this set (of satisfying assignments) a subset of g's?
   [[nodiscard]] bool is_subset_of(const Bdd& g) const { return implies(g); }
-  /// Do this function and g share a satisfying assignment?
-  [[nodiscard]] bool intersects(const Bdd& g) const {
-    return !(*this & g).is_false();
-  }
+  /// Do this function and g share a satisfying assignment?  Early-exit
+  /// and allocation-free, like implies().
+  [[nodiscard]] bool intersects(const Bdd& g) const;
 
   /// Existentially quantify all variables of `cube` (a positive-literal
   /// conjunction) out of this function.
@@ -683,6 +682,9 @@ class Manager {
     kOpConstrain,
     kOpRestrictMin,
     kOpCompose,
+    // Yes/no queries: the cached result is kTrue or kFalse.
+    kOpIntersects,
+    kOpImplies,
   };
 
   // -- node plumbing -------------------------------------------------------
@@ -779,6 +781,11 @@ class Manager {
   /// bdd.cpp (every use is in that translation unit).
   template <typename Kernel>
   Bdd run_apply(ApplyOp op, Kernel&& kernel);
+  /// Run a yes/no query kernel (intersects_rec, implies_rec) under
+  /// run_apply's deadline and fault probes.  Queries build no node, so an
+  /// abort leaves nothing to collect and there is no retry.
+  template <typename Kernel>
+  bool run_query(const char* what, Kernel&& kernel);
   /// GC after a mid-flight abort so the manager is audit-clean: the
   /// aborted kernel's orphan nodes are reclaimed and the computed cache
   /// (which may reference them) is flushed.
@@ -812,6 +819,15 @@ class Manager {
   std::uint32_t restrict_min_rec(std::uint32_t f, std::uint32_t c);
   std::uint32_t compose_rec(std::uint32_t f, std::uint32_t var,
                             std::uint32_t g);
+  /// The cofactors of f and g on the topmost variable of the two.
+  struct Cofactors {
+    std::uint32_t f0, f1, g0, g1;
+  };
+  [[nodiscard]] Cofactors top_cofactors(std::uint32_t f, std::uint32_t g) const;
+  /// Does f & g have a satisfying assignment?  Stops at the first one.
+  bool intersects_rec(std::uint32_t f, std::uint32_t g);
+  /// Does f imply g, i.e. is f & !g empty?  Stops at the first witness.
+  bool implies_rec(std::uint32_t f, std::uint32_t g);
 
   [[nodiscard]] Bdd wrap(std::uint32_t idx) { return Bdd(this, idx); }
   void check_mine(const Bdd& b, const char* what) const;

@@ -78,6 +78,10 @@ std::string Certificate::to_string() const {
 
 void Certificate::write_json(std::ostream& os) const {
   diag::JsonWriter w(os);
+  write_json(w);
+}
+
+void Certificate::write_json(diag::JsonWriter& w) const {
   w.begin_array();
   for (const auto& o : obligations) {
     w.begin_object();

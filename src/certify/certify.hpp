@@ -43,6 +43,10 @@
 #include "explicit/explicit_graph.hpp"
 #include "ts/transition_system.hpp"
 
+namespace symcex::diag {
+class JsonWriter;
+}
+
 namespace symcex::certify {
 
 /// Is auto-certification on?  Initialised from the SYMCEX_CERTIFY
@@ -77,6 +81,9 @@ struct Certificate {
   /// -- and symcex-verify can re-check -- exactly which duties the engine
   /// claims to have discharged.
   void write_json(std::ostream& os) const;
+  /// The same array, written as the next value of `w` (the bundle emitter
+  /// nests it in place).
+  void write_json(diag::JsonWriter& w) const;
 
   /// Append an obligation (also feeds the diag "certify" counters).
   void require(std::string name, bool ok, std::string detail = "");

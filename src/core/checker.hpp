@@ -247,6 +247,13 @@ class Checker {
   [[nodiscard]] const CheckStats& stats() const { return stats_; }
   void reset_stats() { stats_ = CheckStats{}; }
 
+  /// Drop the formula memo: the subformula results keyed on formula
+  /// nodes.  A caller that parses every query afresh can never hit those
+  /// entries again, yet they keep their BDDs alive, so the serve daemon
+  /// calls this when each job ends.  The fair-states set and the FairEG
+  /// and EU ring memos, keyed on BDD handles, stay.
+  void forget_formula_memo() { memo_.clear(); }
+
   // -- crash-safe checkpoint/resume (src/persist; DESIGN.md §13) -------------
 
   /// The effective checkpoint directory: CheckOptions::checkpoint_dir, or

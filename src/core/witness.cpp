@@ -16,7 +16,7 @@ namespace {
 constexpr std::size_t kNoRing = std::numeric_limits<std::size_t>::max();
 
 /// A broken ring chain surfaces as a failed Certificate, not as undefined
-/// behaviour: the binary search below is only correct on a monotone chain,
+/// behaviour: the ring search below is only correct on a monotone chain,
 /// and a wrong minimal index would silently corrupt the witness.  Thrown
 /// as certify::CertificationError so callers treat it exactly like any
 /// other failed trace obligation (recoverable in release builds).
@@ -26,10 +26,13 @@ constexpr std::size_t kNoRing = std::numeric_limits<std::size_t>::max();
   throw certify::CertificationError("core::min_ring_index", std::move(cert));
 }
 
-/// Smallest i with set & rings[i] nonempty, or kNoRing.  The onion rings
-/// are an increasing chain (Q_i <= Q_{i+1} by construction), so the
-/// predicate "set intersects rings[i]" is monotone in i and the first hit
-/// is found by binary search in O(log n) intersection tests instead of n.
+/// Smallest i <= top with set & rings[i] nonempty, or kNoRing when set
+/// misses rings[top].  The onion rings are an increasing chain (Q_i <=
+/// Q_{i+1} by construction), so the predicate "set intersects rings[i]" is
+/// monotone in i.  The search gallops down from `top` (probing top-1,
+/// top-3, top-7, ...) and then bisects the last gap, so a hit d rings
+/// below `top` costs O(log d) intersection tests.  The ring walk passes
+/// top = i - 1, where the successor's ring almost always is.
 ///
 /// Monotonicity checking: the O(n) full-chain scan runs in debug builds
 /// and whenever certification is enabled; release builds always validate
@@ -37,7 +40,7 @@ constexpr std::size_t kNoRing = std::numeric_limits<std::size_t>::max();
 /// predecessor ring must miss `set`), which is O(1) and catches any
 /// violation the search actually stepped on.
 std::size_t min_ring_index(const std::vector<bdd::Bdd>& rings,
-                           const bdd::Bdd& set) {
+                           const bdd::Bdd& set, std::size_t top) {
 #ifdef NDEBUG
   const bool full_scan = certify::enabled();
 #else
@@ -52,9 +55,17 @@ std::size_t min_ring_index(const std::vector<bdd::Bdd>& rings,
       }
     }
   }
-  if (rings.empty() || !set.intersects(rings.back())) return kNoRing;
-  std::size_t lo = 0;
-  std::size_t hi = rings.size() - 1;  // invariant: set intersects rings[hi]
+  if (top >= rings.size() || !set.intersects(rings[top])) return kNoRing;
+  std::size_t lo = 0;    // invariant: set misses every ring below lo
+  std::size_t hi = top;  // invariant: set intersects rings[hi]
+  for (std::size_t step = 1; lo < hi; step *= 2) {
+    const std::size_t probe = hi - std::min(step, hi - lo);
+    if (!set.intersects(rings[probe])) {
+      lo = probe + 1;
+      break;
+    }
+    hi = probe;
+  }
   while (lo < hi) {
     const std::size_t mid = lo + (hi - lo) / 2;
     if (set.intersects(rings[mid])) {
@@ -65,7 +76,7 @@ std::size_t min_ring_index(const std::vector<bdd::Bdd>& rings,
   }
   if (hi > 0 && set.intersects(rings[hi - 1])) {
     fail_ring_certificate(
-        "binary search returned index " + std::to_string(hi) +
+        "ring search returned index " + std::to_string(hi) +
         " but the set already intersects rings[" + std::to_string(hi - 1) +
         "]: the ring chain is not monotone");
   }
@@ -87,7 +98,8 @@ std::optional<Trace> WitnessGenerator::take_partial() {
 std::vector<bdd::Bdd> WitnessGenerator::walk_rings(
     const std::vector<bdd::Bdd>& rings, const bdd::Bdd& from) {
   auto& ts = checker_.system();
-  std::size_t i = min_ring_index(rings, from);
+  std::size_t i =
+      rings.empty() ? kNoRing : min_ring_index(rings, from, rings.size() - 1);
   if (i == kNoRing) {
     throw std::invalid_argument(
         "walk_rings: 'from' does not intersect E[f U g]");
@@ -97,8 +109,8 @@ std::vector<bdd::Bdd> WitnessGenerator::walk_rings(
     const bdd::Bdd succ = checker_.context().image(path.back());
     // The minimal hit is guaranteed to be < i: a state whose minimal ring
     // index is i > 0 satisfies f & EX Q_{i-1}.
-    const std::size_t j = min_ring_index(rings, succ);
-    if (j == kNoRing || j >= i) {
+    const std::size_t j = min_ring_index(rings, succ, i - 1);
+    if (j == kNoRing) {
       throw std::logic_error("walk_rings: ring descent failed (internal)");
     }
     path.push_back(ts.pick_state(succ & rings[j]));

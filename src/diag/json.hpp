@@ -2,7 +2,8 @@
 //
 // One tiny, dependency-free JSON writer used by every subsystem that
 // exports JSON (the diag metrics registry, the certify certificate dump,
-// and the evidence bundle emitter).  Two design constraints drive it:
+// the evidence bundle emitter and the serve wire protocol).  Two design
+// constraints drive it:
 //
 //   * every byte of output is deterministic -- no locale, stream-state or
 //     platform float-formatting leakage -- so exports can be compared
@@ -14,12 +15,13 @@
 //     and NaN to 0, mirroring the saturation convention of
 //     bdd::Bdd::sat_count.
 //
-// The writer is a plain comma-placement state machine over an ostream; the
-// caller controls key order (emit keys in the order the schema documents,
-// sorted where the schema says sorted).
+// The writer is a plain comma-placement state machine that appends into a
+// std::string; the caller controls key order (emit keys in the order the
+// schema documents, sorted where the schema says sorted).
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -54,9 +56,25 @@ void write_json_double(std::ostream& os, double v);
 ///   w.end_object();
 ///
 /// The writer never reorders or sorts; emit keys in schema order.
+///
+/// Output is built in a std::string.  Constructed on a string, the writer
+/// appends to it directly -- the caller's string is the document, with no
+/// intermediate copy.  Constructed on a stream, the writer buffers and
+/// hands the stream its bytes when the outermost value closes, and in
+/// chunks of about kFlushBytes while a large value is still open, so the
+/// buffer never holds a whole large document.  A stream write between two
+/// top-level values (a trailing newline, a second document) therefore
+/// lands in order.  The destructor flushes whatever an unfinished
+/// document left buffered.
 class JsonWriter {
  public:
-  explicit JsonWriter(std::ostream& os) : os_(os) {}
+  /// Buffer size at which a stream-backed writer hands bytes over before
+  /// the outermost value has closed.
+  static constexpr std::size_t kFlushBytes = std::size_t{64} << 10;
+
+  explicit JsonWriter(std::ostream& os);
+  explicit JsonWriter(std::string& out);
+  ~JsonWriter();
   JsonWriter(const JsonWriter&) = delete;
   JsonWriter& operator=(const JsonWriter&) = delete;
 
@@ -76,9 +94,8 @@ class JsonWriter {
   void value(int i) { value(static_cast<std::int64_t>(i)); }
   void value(double d);
 
-  /// Emit a pre-rendered JSON value verbatim (e.g. a nested document
-  /// produced by another writer on a string stream).  The caller vouches
-  /// that `json` is one complete, valid JSON value.
+  /// Emit a pre-rendered JSON value verbatim.  The caller vouches that
+  /// `json` is one complete, valid JSON value.
   void raw(std::string_view json);
 
   /// key(k) followed by value(v), for one-liner members.
@@ -90,8 +107,19 @@ class JsonWriter {
 
  private:
   void separate();  // emit "," when a sibling was already written
+  void string_token(std::string_view s);
+  /// After each value: a stream-backed writer flushes when the outermost
+  /// value has closed or the buffer reached kFlushBytes.
+  void value_done() {
+    if (os_ != nullptr && (need_comma_.empty() || out_.size() >= kFlushBytes)) {
+      flush();
+    }
+  }
+  void flush();
 
-  std::ostream& os_;
+  std::ostream* os_ = nullptr;  // stream mode target; null in string mode
+  std::string buffer_;          // stream mode buffer
+  std::string& out_;            // buffer_ (stream mode) or the caller's string
   std::vector<bool> need_comma_;  // one flag per open container
 };
 

@@ -5,7 +5,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -230,6 +229,10 @@ std::string BundleBuilder::cluster_schedule_hash() const {
 
 void BundleBuilder::write_json(std::ostream& os) const {
   diag::JsonWriter w(os);
+  write_json(w);
+}
+
+void BundleBuilder::write_json(diag::JsonWriter& w) const {
   w.begin_object();
   w.member("symcex_evidence_version", kBundleVersion);
 
@@ -322,9 +325,7 @@ void BundleBuilder::write_json(std::ostream& os) const {
     w.begin_object();
     w.member("name", name);
     w.key("obligations");
-    std::ostringstream obligations;
-    cert.write_json(obligations);
-    w.raw(obligations.str());
+    cert.write_json(w);
     w.end_object();
   }
   w.end_array();
@@ -333,9 +334,10 @@ void BundleBuilder::write_json(std::ostream& os) const {
 }
 
 std::string BundleBuilder::to_json() const {
-  std::ostringstream os;
-  write_json(os);
-  return os.str();
+  std::string out;
+  diag::JsonWriter w(out);
+  write_json(w);
+  return out;
 }
 
 // ---------------------------------------------------------------------------

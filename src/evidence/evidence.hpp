@@ -166,9 +166,12 @@ class BundleBuilder {
 
   // -- output ----------------------------------------------------------------
   void write_json(std::ostream& os) const;
+  /// The bundle document, built in place in the returned string.
   [[nodiscard]] std::string to_json() const;
 
  private:
+  void write_json(diag::JsonWriter& w) const;
+
   const ts::TransitionSystem& ts_;
   std::string model_name_;
   std::string spec_;

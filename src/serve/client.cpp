@@ -76,13 +76,9 @@ std::string Client::roundtrip(const std::string& request_json) {
 }
 
 std::string Client::read_line() {
+  std::string line;
   for (;;) {
-    const std::size_t newline = inbuf_.find('\n');
-    if (newline != std::string::npos) {
-      std::string line = inbuf_.substr(0, newline);
-      inbuf_.erase(0, newline + 1);
-      return line;
-    }
+    if (inbuf_.take(line)) return line;
     char chunk[4096];
     const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
     if (n < 0 && errno == EINTR) continue;

@@ -20,7 +20,6 @@
 #include "serve/serve.hpp"
 
 #include <cmath>
-#include <sstream>
 
 #include "diag/json.hpp"
 #include "json_mini.hpp"
@@ -149,18 +148,18 @@ Request parse_request(const std::string& line) {
 }
 
 std::string format_check_request(const CheckRequest& request) {
-  std::ostringstream os;
-  diag::JsonWriter w(os);
+  std::string out;
+  diag::JsonWriter w(out);
   w.begin_object();
   w.member("op", "check");
   write_check_body(w, request);
   w.end_object();
-  return os.str();
+  return out;
 }
 
 std::string format_batch_request(const std::vector<CheckRequest>& requests) {
-  std::ostringstream os;
-  diag::JsonWriter w(os);
+  std::string out;
+  diag::JsonWriter w(out);
   w.begin_object();
   w.member("op", "batch");
   w.key("jobs");
@@ -172,7 +171,7 @@ std::string format_batch_request(const std::vector<CheckRequest>& requests) {
   }
   w.end_array();
   w.end_object();
-  return os.str();
+  return out;
 }
 
 void write_check_result(diag::JsonWriter& w, const CheckResult& result) {
@@ -227,6 +226,45 @@ CheckResult parse_check_result(const jsonmini::Value& v) {
   r.cache_key = get_string(v, "cache_key", "result");
   r.bundle = get_string(v, "bundle", "result");
   return r;
+}
+
+// -- framing ------------------------------------------------------------------
+
+void LineBuffer::append(const char* data, std::size_t size) {
+  // Compact once the consumed prefix outweighs what is left, so the
+  // buffer stays proportional to the unconsumed bytes.
+  if (start_ > 0 && start_ >= buf_.size() - start_) {
+    buf_.erase(0, start_);
+    scanned_ -= start_;
+    start_ = 0;
+  }
+  buf_.append(data, size);
+}
+
+bool LineBuffer::take(std::string& line) {
+  const std::size_t newline = buf_.find('\n', scanned_);
+  if (newline == std::string::npos) {
+    scanned_ = buf_.size();
+    return false;
+  }
+  if (start_ == 0 && newline + 1 == buf_.size()) {
+    // The common case, one whole frame buffered: hand over the storage
+    // instead of copying it.
+    buf_.pop_back();
+    line.swap(buf_);
+    clear();
+    return true;
+  }
+  line.assign(buf_, start_, newline - start_);
+  start_ = newline + 1;
+  scanned_ = start_;
+  return true;
+}
+
+void LineBuffer::clear() {
+  buf_.clear();
+  start_ = 0;
+  scanned_ = 0;
 }
 
 }  // namespace symcex::serve

@@ -272,6 +272,25 @@ void write_check_result(diag::JsonWriter& w, const CheckResult& result);
 /// Parse a result object (the client side of write_check_result).
 [[nodiscard]] CheckResult parse_check_result(const jsonmini::Value& v);
 
+/// Newline framing over a byte stream, shared by the daemon's connection
+/// loop and the client.  Received bytes are appended; each complete line
+/// is taken once.  Only bytes not searched before are scanned for '\n',
+/// and consumed lines are dropped from the front lazily, so a megabyte
+/// frame arriving in 4 KiB reads costs linear time, not quadratic.
+class LineBuffer {
+ public:
+  void append(const char* data, std::size_t size);
+  /// Move the next complete line (without its '\n') into `line`; false,
+  /// leaving `line` alone, when no complete line is buffered.
+  bool take(std::string& line);
+  void clear();
+
+ private:
+  std::string buf_;
+  std::size_t start_ = 0;    ///< first byte of the unconsumed lines
+  std::size_t scanned_ = 0;  ///< bytes before this hold no '\n' past start_
+};
+
 // -- server ------------------------------------------------------------------
 
 struct ServerOptions {
@@ -331,6 +350,12 @@ class Server {
   /// path worker threads run; exposed for in-process tests).
   [[nodiscard]] CheckResult execute(const CheckRequest& request);
 
+  /// Live BDD nodes of the resident session serving `request`'s model,
+  /// counted after a garbage collection of its manager; 0 when no such
+  /// session is resident.  Waits for that session's job in flight.  Shows
+  /// what a warm session keeps between jobs.
+  [[nodiscard]] std::size_t session_live_nodes(const CheckRequest& request);
+
  private:
   struct Session {
     ServedModel model;
@@ -348,13 +373,15 @@ class Server {
   void accept_loop();
   void worker_loop();
   void handle_connection(int fd);
+  /// The response frame for one request line, '\n' included.
   [[nodiscard]] std::string handle_line(const std::string& line,
                                         bool& shutdown);
   [[nodiscard]] std::shared_ptr<Session> session_for(
       const CheckRequest& request);
   /// Queue one job; returns the future, or an immediate overload result.
   [[nodiscard]] CheckResult submit_and_wait(const CheckRequest& request);
-  void write_stats_json(std::ostream& os) const;
+  void write_stats_json(diag::JsonWriter& w) const;
+  /// The hello frame, '\n' included.
   [[nodiscard]] std::string hello_line() const;
 
   ServerOptions options_;
@@ -425,7 +452,7 @@ class Client {
 
   int fd_ = -1;
   std::string hello_;
-  std::string inbuf_;
+  LineBuffer inbuf_;
 };
 
 }  // namespace symcex::serve

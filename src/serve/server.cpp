@@ -32,7 +32,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <sstream>
 #include <utility>
 
 #include "core/explain.hpp"
@@ -58,6 +57,15 @@ CheckResult overload_result(const CheckRequest& request) {
   r.exhausted = "overload";
   r.cacheable = false;
   return r;
+}
+
+/// The sessions_ key of the model a request names.
+std::string session_key(const CheckRequest& request) {
+  return request.smv.empty()
+             ? "bundled:" + request.model
+             : "smv:" + request.model + ":" +
+                   hex16(persist::fnv1a64(request.smv.data(),
+                                          request.smv.size()));
 }
 
 bool send_all(int fd, const std::string& data) {
@@ -242,11 +250,7 @@ ServeStats Server::stats() const {
 
 std::shared_ptr<Server::Session> Server::session_for(
     const CheckRequest& request) {
-  const std::string key =
-      request.smv.empty()
-          ? "bundled:" + request.model
-          : "smv:" + request.model + ":" +
-                hex16(persist::fnv1a64(request.smv.data(), request.smv.size()));
+  const std::string key = session_key(request);
   std::lock_guard<std::mutex> lock(sessions_mu_);
   auto it = sessions_.find(key);
   if (it != sessions_.end()) {
@@ -286,6 +290,20 @@ std::shared_ptr<Server::Session> Server::session_for(
     ++stats_.session_evictions;
   }
   return session;
+}
+
+std::size_t Server::session_live_nodes(const CheckRequest& request) {
+  std::shared_ptr<Session> session;
+  {
+    std::lock_guard<std::mutex> lock(sessions_mu_);
+    const auto it = sessions_.find(session_key(request));
+    if (it == sessions_.end()) return 0;
+    session = it->second;
+  }
+  std::lock_guard<std::mutex> session_lock(session->mu);
+  bdd::Manager& manager = session->model.system->manager();
+  manager.gc();
+  return manager.stats().live_nodes;
 }
 
 CheckResult Server::execute(const CheckRequest& request) {
@@ -373,6 +391,9 @@ CheckResult Server::execute(const CheckRequest& request) {
   core::Explainer explainer(*session->checker);
   const core::CheckOutcome outcome = explainer.check(spec);
   ts.manager().install_budget(guard::ResourceBudget{});
+  // The formula memo is keyed on this request's freshly parsed AST, which
+  // no later request shares: keeping it would only pin its BDDs.
+  session->checker->forget_formula_memo();
 
   evidence::BundleBuilder bundle =
       evidence::from_outcome(ts, session->model.name, canonical_spec, outcome);
@@ -462,49 +483,47 @@ void Server::accept_loop() {
 }
 
 std::string Server::hello_line() const {
-  std::ostringstream os;
-  diag::JsonWriter w(os);
+  std::string out;
+  diag::JsonWriter w(out);
   w.begin_object();
   w.member("symcex_serve_hello", 1);
   w.member("protocol", kProtocolVersion);
   w.member("server", version::build_info("symcex-serve"));
   w.member("version", version::kVersion);
   w.end_object();
-  return os.str();
+  out.push_back('\n');
+  return out;
 }
 
 void Server::handle_connection(int fd) {
-  if (!send_all(fd, hello_line() + "\n")) {
+  if (!send_all(fd, hello_line())) {
     ::close(fd);
     return;
   }
-  std::string buffer;
+  LineBuffer frames;
+  std::string line;
   char chunk[4096];
   bool shutdown_server = false;
   while (!shutdown_server) {
-    const std::size_t newline = buffer.find('\n');
-    if (newline == std::string::npos) {
+    if (!frames.take(line)) {
       const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
       if (n <= 0) {
         if (n < 0 && errno == EINTR) continue;
         break;  // disconnect (or stop() shut the socket down)
       }
-      buffer.append(chunk, static_cast<std::size_t>(n));
+      frames.append(chunk, static_cast<std::size_t>(n));
       continue;
     }
-    std::string line = buffer.substr(0, newline);
-    buffer.erase(0, newline + 1);
     if (line.empty()) continue;
-    const std::string response = handle_line(line, shutdown_server);
-    if (!send_all(fd, response + "\n")) break;
+    if (!send_all(fd, handle_line(line, shutdown_server))) break;
   }
   ::close(fd);
   if (shutdown_server) request_shutdown();
 }
 
 std::string Server::handle_line(const std::string& line, bool& shutdown) {
-  std::ostringstream os;
-  diag::JsonWriter w(os);
+  std::string out;
+  diag::JsonWriter w(out);
   Request request;
   try {
     request = parse_request(line);
@@ -514,7 +533,8 @@ std::string Server::handle_line(const std::string& line, bool& shutdown) {
     w.member("error_check", e.check());
     w.member("error", e.what());
     w.end_object();
-    return os.str();
+    out.push_back('\n');
+    return out;
   }
   switch (request.op) {
     case Request::Op::kPing:
@@ -525,7 +545,7 @@ std::string Server::handle_line(const std::string& line, bool& shutdown) {
       w.end_object();
       break;
     case Request::Op::kStats:
-      write_stats_json(os);
+      write_stats_json(w);
       break;
     case Request::Op::kShutdown:
       shutdown = true;
@@ -579,13 +599,13 @@ std::string Server::handle_line(const std::string& line, bool& shutdown) {
       break;
     }
   }
-  return os.str();
+  out.push_back('\n');
+  return out;
 }
 
-void Server::write_stats_json(std::ostream& os) const {
+void Server::write_stats_json(diag::JsonWriter& w) const {
   const ServeStats s = stats();
   const CacheStats c = cache_.stats();
-  diag::JsonWriter w(os);
   w.begin_object();
   w.member("ok", true);
   w.member("op", "stats");

@@ -690,6 +690,58 @@ TEST_P(WalkKernels, MatchNaiveReferences) {
   EXPECT_EQ(m.audit_check(), "");
 }
 
+TEST_P(WalkKernels, QueriesMatchTheConjunctionAndBuildNothing) {
+  const bool permuted = GetParam();
+  constexpr std::uint32_t kVars = 10;
+  std::mt19937 rng(permuted ? 91 : 9);
+  Manager m(kVars);
+  std::vector<Bdd> pool{m.zero(), m.one()};
+  for (int i = 0; i < 16; ++i) {
+    const Bdd f = random_function(m, rng, kVars);
+    const Bdd g = random_function(m, rng, kVars);
+    // Conjunctions, disjunctions and complements make the implications
+    // and disjoint pairs the dense random functions alone rarely give.
+    pool.insert(pool.end(), {f, f & g, f | g, !f});
+  }
+  if (permuted) {
+    ASSERT_TRUE(m.reorder());
+    for (int i = 0; i < 15; ++i) {
+      m.swap_levels(static_cast<std::uint32_t>(rng() % (kVars - 1)));
+    }
+    ASSERT_FALSE(m.identity_order());
+  }
+  std::vector<std::vector<bool>> meet(pool.size()), below(pool.size());
+  std::size_t implications = 0, disjoint = 0;
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    for (const Bdd& g : pool) {
+      meet[i].push_back(!(pool[i] & g).is_false());
+      below[i].push_back((pool[i] - g).is_false());
+      implications += below[i].back() ? 1 : 0;
+      disjoint += meet[i].back() ? 0 : 1;
+    }
+  }
+  ASSERT_GT(implications, pool.size());  // beyond the reflexive pairs
+  ASSERT_GT(disjoint, 2 * pool.size());  // beyond the pairs with zero
+
+  // mk() counts every node request, found or created; queries make none.
+  const auto mk_calls = [&m] {
+    return m.stats().unique_hits + m.stats().unique_misses;
+  };
+  const std::size_t before = mk_calls();
+  // Twice: the second pass answers from the computed cache.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      for (std::size_t j = 0; j < pool.size(); ++j) {
+        EXPECT_EQ(pool[i].intersects(pool[j]), meet[i][j]) << i << "," << j;
+        EXPECT_EQ(pool[i].implies(pool[j]), below[i][j]) << i << "," << j;
+      }
+    }
+  }
+  EXPECT_EQ(mk_calls(), before);
+  // The audit walks the computed cache, query entries included.
+  EXPECT_EQ(m.audit_check(), "");
+}
+
 INSTANTIATE_TEST_SUITE_P(Orders, WalkKernels, ::testing::Values(false, true),
                          [](const auto& info) {
                            return info.param ? "Permuted" : "Identity";

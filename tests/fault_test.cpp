@@ -167,6 +167,25 @@ TEST(FaultKernel, ApplyDeadlineFaultRecoversAndRethrows) {
   EXPECT_EQ((a & b), (b & a));
 }
 
+TEST(FaultKernel, QueryKernelsHonourTheApplyFaultSite) {
+  Manager m(4);
+  const Bdd a = m.var(0) & m.var(1);
+  const Bdd b = m.var(1) | m.var(2);
+  const std::size_t aborts = m.stats().budget_aborts;
+  {
+    FaultGuard fault("deadline@apply:1");
+    EXPECT_THROW((void)a.intersects(b), guard::DeadlineExceeded);
+  }
+  {
+    FaultGuard fault("deadline@apply:1");
+    EXPECT_THROW((void)a.implies(b), guard::DeadlineExceeded);
+  }
+  EXPECT_EQ(m.stats().budget_aborts, aborts + 2);
+  EXPECT_EQ(m.audit_check(), "");
+  EXPECT_TRUE(a.intersects(b));
+  EXPECT_TRUE(a.implies(b));
+}
+
 TEST(FaultKernel, FixpointSiteInterruptsReachability) {
   ts::TransitionSystem sys;
   for (int v = 0; v < 4; ++v) sys.add_var("x" + std::to_string(v));

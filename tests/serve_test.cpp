@@ -534,5 +534,104 @@ TEST(ServeDaemon, WarmSnapshotStartsAResidentSession) {
   EXPECT_EQ(live.server.stats().sessions, 1u);
 }
 
+TEST(ServeDaemon, WarmSessionsStayBoundedAcrossFreshQueries) {
+  // An 8-bit rotating register: every bit pattern is a distinct EX
+  // target, so each query parses, checks and memoises a new formula.  The
+  // session must not keep the BDDs of queries that are over.
+  const std::string smv =
+      "MODULE main\n"
+      "VAR b0 : boolean; b1 : boolean; b2 : boolean; b3 : boolean;\n"
+      "    b4 : boolean; b5 : boolean; b6 : boolean; b7 : boolean;\n"
+      "ASSIGN\n"
+      "  init(b0) := TRUE;  init(b1) := FALSE; init(b2) := FALSE;\n"
+      "  init(b3) := FALSE; init(b4) := FALSE; init(b5) := FALSE;\n"
+      "  init(b6) := FALSE; init(b7) := FALSE;\n"
+      "  next(b0) := b7; next(b1) := b0; next(b2) := b1; next(b3) := b2;\n"
+      "  next(b4) := b3; next(b5) := b4; next(b6) := b5; next(b7) := b6;\n";
+  const auto query = [&smv](int pattern) {
+    static const char* const kBits[] = {"b0", "b1", "b2", "b3",
+                                        "b4", "b5", "b6", "b7"};
+    std::string spec = "EX (";
+    for (int b = 0; b < 8; ++b) {
+      if (b > 0) spec += " & ";
+      if (((pattern >> b) & 1) == 0) spec += "!";
+      spec += kBits[b];
+    }
+    spec += ")";
+    serve::CheckRequest r = req("rotor", spec);
+    r.smv = smv;
+    return r;
+  };
+
+  serve::ServerOptions opt;
+  opt.socket_path = fresh_dir("bounded") + "/unused.sock";
+  serve::Server server(opt);
+  std::size_t warm = 0;
+  for (int pattern = 0; pattern < 256; ++pattern) {
+    const serve::CheckResult r = server.execute(query(pattern));
+    ASSERT_TRUE(r.ok) << r.error;
+    ASSERT_FALSE(r.cached);
+    // Only the pattern init rotates into (b1 alone) is one step away.
+    EXPECT_EQ(r.verdict, pattern == 2 ? "true" : "false") << pattern;
+    if (pattern == 15) warm = server.session_live_nodes(query(0));
+  }
+  ASSERT_GT(warm, 0u);
+  EXPECT_EQ(server.stats().sessions, 1u);
+  // Two hundred and forty more distinct queries later the session holds
+  // what it held after sixteen: the relation, the fair states and the
+  // handle-keyed memos, nothing per query.
+  EXPECT_LE(server.session_live_nodes(query(0)), warm + 16);
+}
+
+TEST(ServeDaemon, MegabyteResponseLinesRoundTrip) {
+  // A 1 MiB model name comes back twice (the result's model field and the
+  // error text), so both the request and the response frames are
+  // megabyte lines crossing the socket in many reads.
+  const serve::ServerOptions opt = base_options("mib");
+  LiveServer live(opt);
+  serve::Client client;
+  client.connect(opt.socket_path);
+  std::string name(std::size_t{1} << 20, 'm');
+  for (std::size_t i = 0; i < name.size(); i += 4099) name[i] = '"';
+  const serve::CheckResult r = client.check(req(name, "AG p"));
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.error_check, "model");
+  EXPECT_EQ(r.model, name);
+  EXPECT_NE(r.error.find(name), std::string::npos);
+  // The connection is still framed correctly afterwards.
+  EXPECT_TRUE(client.ping());
+}
+
+TEST(ServeFraming, LineBufferTakesEachLineOnce) {
+  serve::LineBuffer frames;
+  std::string line = "stale";
+  EXPECT_FALSE(frames.take(line));
+  EXPECT_EQ(line, "stale");
+  // One line arriving in 4 KiB pieces, with the next frames behind it.
+  const std::string big(std::size_t{1} << 20, 'x');
+  const std::string stream = big + "\n\nsecond\nthi";
+  for (std::size_t off = 0; off < stream.size(); off += 4096) {
+    const std::size_t n = std::min<std::size_t>(4096, stream.size() - off);
+    frames.append(stream.data() + off, n);
+    if (off + n <= big.size()) EXPECT_FALSE(frames.take(line));
+  }
+  ASSERT_TRUE(frames.take(line));
+  EXPECT_EQ(line, big);
+  ASSERT_TRUE(frames.take(line));
+  EXPECT_EQ(line, "");
+  ASSERT_TRUE(frames.take(line));
+  EXPECT_EQ(line, "second");
+  EXPECT_FALSE(frames.take(line));
+  frames.append("rd\n", 3);
+  ASSERT_TRUE(frames.take(line));
+  EXPECT_EQ(line, "third");
+  EXPECT_FALSE(frames.take(line));
+  // A lone whole frame is handed over; the buffer is empty after it.
+  frames.append("solo\n", 5);
+  ASSERT_TRUE(frames.take(line));
+  EXPECT_EQ(line, "solo");
+  EXPECT_FALSE(frames.take(line));
+}
+
 }  // namespace
 }  // namespace symcex

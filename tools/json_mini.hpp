@@ -99,7 +99,7 @@ class Parser {
     // far beyond any bundle the emitters produce.
     if (depth_ >= kMaxDepth) fail("nesting too deep");
     ++depth_;
-    const Value v = parse_value_inner();
+    Value v = parse_value_inner();
     --depth_;
     return v;
   }
@@ -202,14 +202,15 @@ class Parser {
     expect('"');
     std::string out;
     while (true) {
+      // Copy the run up to the next '"', '\\' or control byte in one
+      // append; that byte then decides, exactly as a byte-at-a-time loop.
+      const std::size_t run = pos_;
+      while (pos_ < text_.size() && !is_special(text_[pos_])) ++pos_;
+      out.append(text_.data() + run, pos_ - run);
       if (pos_ >= text_.size()) fail("unterminated string");
       const unsigned char c = static_cast<unsigned char>(text_[pos_++]);
       if (c == '"') return out;
       if (c < 0x20) fail("unescaped control character in string");
-      if (c != '\\') {
-        out.push_back(static_cast<char>(c));
-        continue;
-      }
       if (pos_ >= text_.size()) fail("unterminated escape");
       const char e = text_[pos_++];
       switch (e) {
@@ -259,6 +260,12 @@ class Parser {
           fail("invalid escape character");
       }
     }
+  }
+
+  /// Bytes that end a verbatim run inside a string literal.
+  static bool is_special(char ch) {
+    const auto c = static_cast<unsigned char>(ch);
+    return c == '"' || c == '\\' || c < 0x20;
   }
 
   unsigned parse_hex4() {
